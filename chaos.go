@@ -1,16 +1,13 @@
 package sharqfec
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
 	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/faults"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/telemetry/health"
 	"sharqfec/internal/topology"
 )
@@ -261,31 +258,9 @@ type ChaosResult struct {
 // reports recovery and localization metrics.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg.applyDefaults()
-	if err := cfg.Telemetry.validate(); err != nil {
-		return nil, err
-	}
-	opts, ok := cfg.Protocol.options()
-	if !ok {
+	if _, ok := cfg.Protocol.options(); !ok {
 		return nil, fmt.Errorf("sharqfec: RunChaos needs a SHARQFEC variant, got %q", cfg.Protocol)
 	}
-
-	spec := cfg.Topology.spec
-	if !opts.Scoping {
-		spec = globalized(spec)
-	}
-	if !cfg.Faults.Empty() {
-		// The plan mutates link state; never contaminate a shared spec.
-		s := *spec
-		s.Graph = spec.Graph.Clone()
-		spec = &s
-	}
-	h, err := scoping.Build(spec.Zones)
-	if err != nil {
-		return nil, err
-	}
-	var q eventq.Queue
-	src := simrand.New(cfg.Seed)
-	net := netsim.New(&q, spec.Graph, h, src)
 
 	// Chaos runs always carry telemetry: the result's traffic counters
 	// come from the metrics registry, and the flight recorder preserves
@@ -301,53 +276,24 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// always assemble them, so anomalous endings can report which zone
 	// and mechanism each stranded loss died in.
 	tcfg.Spans = true
-	tel := startTelemetry(&tcfg, &q, h, spec.Graph.NumNodes(), cfg.Until)
-	net.SetTelemetry(tel.bus)
-
-	pcfg := core.DefaultConfig()
-	pcfg.Source = spec.Source
-	pcfg.NumPackets = cfg.NumPackets
-	pcfg.Options = opts
-	pcfg.Telemetry = tel.bus
-	if cfg.GroupK > 0 {
-		pcfg.GroupK = cfg.GroupK
+	r, err := newSHARQFECRun(&DataConfig{
+		Protocol: cfg.Protocol, Topology: cfg.Topology, Seed: cfg.Seed,
+		NumPackets: cfg.NumPackets, GroupK: cfg.GroupK,
+		JoinAt: cfg.JoinAt, SourceOnAt: cfg.SourceOnAt, Until: cfg.Until,
+		Faults: cfg.Faults, Telemetry: &tcfg,
+	}, nil)
+	if err != nil {
+		return nil, err
 	}
+	spec, h, tel := r.e.spec, r.e.h, r.e.tel
 
 	type nodeGroup struct {
 		node  topology.NodeID
 		group uint32
 	}
 	completed := make(map[nodeGroup]bool)
-	verified := true
-	agents := make(map[topology.NodeID]*core.Agent, len(spec.Receivers)+1)
-	// allAgents keeps every agent ever created (creation order), including
-	// crashed ones a restart replaced in the map: their stranded losses
-	// still need terminal loss_unrecovered events at session end.
-	var allAgents []*core.Agent
-	var sourceAgent *core.Agent
-	wire := func(m topology.NodeID, ag *core.Agent) {
-		ag.OnComplete = func(_ eventq.Time, gid uint32, data [][]byte) {
-			completed[nodeGroup{m, gid}] = true
-			want := sourceAgent.SentGroup(gid)
-			for i := range want {
-				if !bytes.Equal(data[i], want[i]) {
-					verified = false
-				}
-			}
-		}
-	}
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		agents[m] = ag
-		allAgents = append(allAgents, ag)
-		if m == spec.Source {
-			sourceAgent = ag
-			continue
-		}
-		wire(m, ag)
+	r.onComplete = func(_ eventq.Time, node topology.NodeID, gid uint32) {
+		completed[nodeGroup{node, gid}] = true
 	}
 
 	res := &ChaosResult{
@@ -355,17 +301,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Topology:  spec.Name,
 		Receivers: len(spec.Receivers),
 	}
-	gone := make(map[topology.NodeID]bool) // crashed or departed, not restarted
-
-	eng := faults.NewEngine(net, src, &cfg.Faults.plan)
-	eng.Telemetry = tel.bus
-	eng.OnCrash = func(now eventq.Time, node topology.NodeID) {
-		ag, ok := agents[node]
-		if !ok {
-			return
-		}
-		ag.Stop()
-		gone[node] = true
+	r.onCrash = func(now eventq.Time, node topology.NodeID) {
 		zone := h.LeafZone(node)
 		rec := Reelection{
 			Crashed: int(node), Zone: int(zone), NewZCR: -1,
@@ -380,76 +316,42 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		// surviving members unanimously report a live replacement ZCR.
 		var poll func(eventq.Time)
 		poll = func(pnow eventq.Time) {
-			if zcr, ok := zoneAgreement(h, agents, zone, node); ok {
-				r := &res.Reelections[idx]
-				r.NewZCR = int(zcr)
-				r.RecoverySeconds = pnow.Seconds() - r.CrashAt
+			if zcr, ok := zoneAgreement(h, r.agents, zone, node); ok {
+				re := &res.Reelections[idx]
+				re.NewZCR = int(zcr)
+				re.RecoverySeconds = pnow.Seconds() - re.CrashAt
 				return
 			}
 			if pnow.Seconds() < cfg.Until {
-				q.After(0.1, poll)
+				r.e.at(pnow.Add(0.1), poll)
 			}
 		}
-		q.After(0.1, poll)
+		r.e.at(now.Add(0.1), poll)
 	}
-	eng.OnRestart = func(now eventq.Time, node topology.NodeID) {
-		if node == spec.Source {
-			return
-		}
-		ag, err := core.New(node, net, pcfg, src) // re-attaches over the dead agent
-		if err != nil {
-			return
-		}
-		agents[node] = ag
-		allAgents = append(allAgents, ag)
-		wire(node, ag)
-		delete(gone, node)
-		ag.JoinLate()
-	}
-	eng.OnLeave = func(now eventq.Time, node topology.NodeID) {
-		if ag, ok := agents[node]; ok {
-			ag.Stop()
-			gone[node] = true
-		}
-	}
-	if err := eng.Start(); err != nil {
+	if err := r.run(); err != nil {
 		return nil, err
 	}
 
-	q.At(secondsToTime(cfg.JoinAt), func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
-	})
-	q.At(secondsToTime(cfg.SourceOnAt), func(eventq.Time) { sourceAgent.StartSource() })
-	q.RunUntil(secondsToTime(cfg.Until))
-
+	// Crashed-and-not-restarted and departed members are excluded: their
+	// final agents are stopped.
 	live := 0
 	liveDone := 0
 	for _, m := range spec.Receivers {
-		if gone[m] {
+		if r.agents[m].Stopped() {
 			continue
 		}
 		live++
-		for g := 0; g < pcfg.NumGroups(); g++ {
+		for g := 0; g < r.pcfg.NumGroups(); g++ {
 			if completed[nodeGroup{m, uint32(g)}] {
 				liveDone++
 			}
 		}
 	}
 	if live > 0 {
-		res.CompletionRate = float64(liveDone) / float64(live*pcfg.NumGroups())
+		res.CompletionRate = float64(liveDone) / float64(live*r.pcfg.NumGroups())
 	}
-	res.Verified = verified
-	for _, a := range eng.Log() {
-		res.FaultLog = append(res.FaultLog, fmt.Sprintf("%s %s", a.At, a.Desc))
-	}
-
-	// Close the books before the final snapshot: every loss that never
-	// decoded gets its terminal event so no recovery span stays open.
-	for _, ag := range allAgents {
-		ag.EmitUnrecoveredLosses(q.Now())
-	}
+	res.Verified = r.verified()
+	res.FaultLog = faultLog(r.faults)
 
 	// Traffic counters come straight from the registry — the hand-rolled
 	// delivery tap and per-agent tallies this replaced double-counted

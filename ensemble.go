@@ -14,28 +14,21 @@ import (
 // parallel multi-run drivers (RunEnsemble, RunTimerSweep).
 func runtimeGOMAXPROCS() int { return runtime.GOMAXPROCS(0) }
 
-// runIndexed runs fn(0..n-1) across a worker pool. The caller's
-// goroutine is always one worker; every extra worker needs both room
-// under sweepParallelism() and a token from the process-wide
-// parallel budget shared with the shard runner. That sharing is what
-// stops an ensemble of sharded runs from oversubscribing the machine:
-// whichever pool starts second finds the budget spent and runs
-// narrower, in the limit sequentially — with identical results, since
-// work items never depend on pool width.
-func runIndexed(n int, fn func(i int)) {
-	workers := sweepParallelism()
-	if workers > n {
-		workers = n
-	}
+// runIndexed runs fn(0..n-1) across a worker pool and returns the
+// lowest-indexed error, so a failing run reports the same way at any
+// pool width. The caller's goroutine is always one worker; every extra
+// worker needs both room under sweepParallelism() and a token from the
+// process-wide parallel budget shared with the shard runner. That
+// sharing is what stops an ensemble of sharded runs from
+// oversubscribing the machine: whichever pool starts second finds the
+// budget spent and runs narrower, in the limit sequentially — with
+// identical results, since work items never depend on pool width.
+func runIndexed(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	workers := min(sweepParallelism(), n)
 	extra := 0
 	for extra < workers-1 && parallel.TryAcquire() {
 		extra++
-	}
-	if extra == 0 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -46,7 +39,7 @@ func runIndexed(n int, fn func(i int)) {
 			if i >= n {
 				return
 			}
-			fn(i)
+			errs[i] = fn(i)
 		}
 	}
 	for w := 0; w < extra; w++ {
@@ -58,6 +51,12 @@ func runIndexed(n int, fn func(i int)) {
 	}
 	work() // the caller is the implicit worker
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // EnsembleResult aggregates a data experiment over several seeds. The
@@ -88,19 +87,18 @@ func RunEnsemble(cfg DataConfig, seeds []uint64) (*EnsembleResult, error) {
 		return nil, fmt.Errorf("sharqfec: ensemble needs at least one seed")
 	}
 	results := make([]*DataResult, len(seeds))
-	errs := make([]error, len(seeds))
 
 	// Bounded worker pool: goroutine count is the pool width, not the
 	// seed count, so huge ensembles don't pay len(seeds) idle stacks.
-	runIndexed(len(seeds), func(i int) {
+	err := runIndexed(len(seeds), func(i int) error {
 		c := cfg
 		c.Seed = seeds[i]
-		results[i], errs[i] = RunData(c)
+		var err error
+		results[i], err = RunData(c)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 
 	res := &EnsembleResult{

@@ -1,13 +1,8 @@
 package sharqfec
 
 import (
-	"sharqfec/internal/core"
-	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/telemetry"
-	"sharqfec/internal/topology"
 )
 
 // ReceiverReportResult measures the §7 extension: RTCP-style receiver
@@ -33,35 +28,16 @@ type ReceiverReportResult struct {
 // every receiver publishing its raw loss fraction, and compares the
 // source's aggregated view against ground truth.
 func RunReceiverReports(seed uint64) (*ReceiverReportResult, error) {
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	r, err := newSHARQFECRun(figure10Session(seed, 512, 30), nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 512
-
-	agents := make(map[topology.NodeID]*core.Agent)
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		agents[m] = ag
+	if err := r.run(); err != nil {
+		return nil, err
 	}
-	q.At(1, func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
-	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.RunUntil(30)
 
-	worst, members := agents[spec.Source].Session().AggregatedReport(h.Root())
+	spec, root := r.e.spec, r.e.h.Root()
+	worst, members := r.source.Session().AggregatedReport(root)
 	res := &ReceiverReportResult{
 		SourceWorstLoss: worst,
 		SourceMembers:   int(members),
@@ -74,11 +50,11 @@ func RunReceiverReports(seed uint64) (*ReceiverReportResult, error) {
 	for _, m := range spec.Receivers {
 		reg.Gauge(telemetry.Key{
 			Name: "raw_loss_fraction", Node: m, Zone: scoping.NoZone,
-		}).Set(agents[m].RawLossFraction())
+		}).Set(r.agents[m].RawLossFraction())
 	}
 	if _, worst, ok := reg.MaxGauge("raw_loss_fraction"); ok {
 		res.TrueWorstLoss = worst
 	}
-	res.DirectReporters = agents[spec.Source].Session().ReportersHeard(h.Root())
+	res.DirectReporters = r.source.Session().ReportersHeard(root)
 	return res, nil
 }

@@ -3,12 +3,9 @@ package sharqfec
 import (
 	"fmt"
 
-	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
-	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -33,56 +30,35 @@ type FailoverResult struct {
 // session heals: survivors elect a replacement and still recover the
 // stream.
 func RunZCRFailover(seed uint64) (*FailoverResult, error) {
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	failed := topology.NodeID(8) // first tree child: leaf-zone ZCR
+	cfg := figure10Session(seed, 512, 90)
+	cfg.Faults = NewFaultPlan().Crash(9, int(failed)) // mid-stream
+	r, err := newSHARQFECRun(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 512
-
-	failed := topology.NodeID(8) // first tree child: leaf-zone ZCR
-	zone := h.LeafZone(failed)
-
-	agents := make(map[topology.NodeID]*core.Agent)
 	completed := make(map[topology.NodeID]int)
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
-		}
-		node := m
-		ag.OnComplete = func(eventq.Time, uint32, [][]byte) { completed[node]++ }
-		agents[m] = ag
+	r.onComplete = func(_ eventq.Time, node topology.NodeID, _ uint32) { completed[node]++ }
+	if err := r.run(); err != nil {
+		return nil, err
 	}
-	q.At(1, func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
-	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.At(9, func(eventq.Time) { agents[failed].Stop() }) // mid-stream
-	q.RunUntil(90)
 
+	zone := r.e.h.LeafZone(failed)
 	res := &FailoverResult{FailedNode: int(failed), Zone: int(zone)}
-	groups := pcfg.NumGroups()
+	groups := r.pcfg.NumGroups()
 	survivors, zoneMembers := 0, 0
 	survDone, zoneDone := 0, 0
 	newZCR := topology.NodeID(-2)
-	for _, m := range spec.Receivers {
+	for _, m := range r.e.spec.Receivers {
 		if m == failed {
 			continue
 		}
 		survivors++
 		survDone += completed[m]
-		if h.Contains(zone, m) {
+		if r.e.h.Contains(zone, m) {
 			zoneMembers++
 			zoneDone += completed[m]
-			got := agents[m].Session().ZCR(zone)
+			got := r.agents[m].Session().ZCR(zone)
 			if newZCR == -2 {
 				newZCR = got
 			} else if got != newZCR {
@@ -120,60 +96,39 @@ func RunLateJoin(seed uint64, joinAt float64) (*LateJoinResult, error) {
 	if joinAt == 0 {
 		joinAt = 9.6
 	}
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	late := topology.NodeID(12)
+	r, err := newSHARQFECRun(figure10Session(seed, 256, 120), nil)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 256
-
-	late := topology.NodeID(12)
-	agents := make(map[topology.NodeID]*core.Agent)
+	r.joinsLate = map[topology.NodeID]bool{late: true}
+	r.e.at(secondsToTime(joinAt), func(eventq.Time) { r.agents[late].JoinLate() })
 	var lastDone eventq.Time
 	completed := 0
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
+	r.onComplete = func(now eventq.Time, node topology.NodeID, _ uint32) {
+		if node == late {
+			completed++
+			lastDone = now
 		}
-		if m == late {
-			ag.OnComplete = func(now eventq.Time, _ uint32, _ [][]byte) {
-				completed++
-				lastDone = now
-			}
-		}
-		agents[m] = ag
 	}
 	localRepairs, globalRepairs := 0, 0
-	net.AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
+	r.e.net(late).AddTap(func(now eventq.Time, at topology.NodeID, d netsim.Delivery) {
 		if _, ok := d.Pkt.(*packet.Repair); ok && at == late && now.Seconds() > joinAt {
-			if h.Level(d.Scope) > 0 {
+			if r.e.h.Level(d.Scope) > 0 {
 				localRepairs++
 			} else {
 				globalRepairs++
 			}
 		}
 	})
-	q.At(1, func(eventq.Time) {
-		for m, ag := range agents {
-			if m != late {
-				ag.Join()
-			}
-		}
-	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.At(secondsToTime(joinAt), func(eventq.Time) { agents[late].JoinLate() })
-	q.RunUntil(120)
+	if err := r.run(); err != nil {
+		return nil, err
+	}
 
 	res := &LateJoinResult{
 		Joiner:     int(late),
 		JoinAt:     joinAt,
-		Completion: float64(completed) / float64(pcfg.NumGroups()),
+		Completion: float64(completed) / float64(r.pcfg.NumGroups()),
 	}
 	if total := localRepairs + globalRepairs; total > 0 {
 		res.LocalRepairFrac = float64(localRepairs) / float64(total)

@@ -2,14 +2,13 @@ package sharqfec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"sharqfec/internal/eventq"
 	"sharqfec/internal/netsim"
 	"sharqfec/internal/packet"
-	"sharqfec/internal/scoping"
 	"sharqfec/internal/session"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -121,23 +120,9 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 	cfg.applyDefaults()
 	spec := cfg.Topology.spec
 	sender := topology.NodeID(cfg.Sender)
-	h, err := scoping.Build(spec.Zones)
-	if err != nil {
-		return nil, err
-	}
-	found := false
-	for _, m := range spec.Members() {
-		if m == sender {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(spec.Members(), sender) {
 		return nil, fmt.Errorf("sharqfec: probe sender %d is not a session member", cfg.Sender)
 	}
-
-	var q eventq.Queue
-	src := simrand.New(cfg.Seed)
-	net := netsim.New(&q, spec.Graph, h, src)
 
 	res := &RTTResult{Sender: cfg.Sender, Receivers: len(spec.Members()) - 1}
 	probe := -1
@@ -150,28 +135,23 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 			res.Able[probe]++
 		}
 	}
-
-	mgrs := make(map[topology.NodeID]*session.Manager)
-	for _, m := range spec.Members() {
-		mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-		mgrs[m] = mgr
-		net.Attach(m, &rttProbeAgent{m: mgr, node: m, sender: sender, net: net, sink: sink})
+	e, err := newEngine(&DataConfig{Topology: cfg.Topology, Seed: cfg.Seed}, true)
+	if err != nil {
+		return nil, err
 	}
-
-	q.At(1, func(eventq.Time) {
-		for _, m := range spec.Members() {
-			mgrs[m].Start(m == spec.Source)
-		}
-	})
+	mgrs := startSessions(e, nil)
+	for _, m := range spec.Members() {
+		e.net(m).Attach(m, &rttProbeAgent{m: mgrs[m], node: m, sender: sender, net: e.net(m), sink: sink})
+	}
 	for p := 0; p < cfg.Probes; p++ {
 		p := p
 		at := cfg.StabilizeUntil + float64(p)*cfg.ProbeInterval
 		res.Ratios = append(res.Ratios, nil)
 		res.Able = append(res.Able, 0)
-		q.At(secondsToTime(at), func(now eventq.Time) {
+		e.at(secondsToTime(at), func(now eventq.Time) {
 			probe = p
-			root := h.Root()
-			net.Multicast(sender, root, &packet.NACK{
+			root := e.h.Root()
+			e.net(sender).Multicast(sender, root, &packet.NACK{
 				Origin:    sender,
 				Group:     uint32(1000 + p),
 				Zone:      int16(root),
@@ -179,6 +159,8 @@ func RunRTT(cfg RTTConfig) (*RTTResult, error) {
 			})
 		})
 	}
-	q.RunUntil(secondsToTime(cfg.StabilizeUntil + float64(cfg.Probes)*cfg.ProbeInterval + 2))
+	if err := e.run(cfg.StabilizeUntil + float64(cfg.Probes)*cfg.ProbeInterval + 2); err != nil {
+		return nil, err
+	}
 	return res, nil
 }

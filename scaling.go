@@ -5,10 +5,8 @@ import (
 
 	"sharqfec/internal/analysis"
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/session"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/telemetry"
 	"sharqfec/internal/telemetry/census"
 	"sharqfec/internal/topology"
@@ -34,11 +32,11 @@ type ScalingSweepConfig struct {
 	// small zones carry fixed session overheads the model ignores — and
 	// converges toward it as populations grow; see EXPERIMENTS.md E20.
 	Tolerance float64
-	// Shards > 0 runs each census point on the zone-sharded parallel
-	// engine with that many shards (see DataConfig.Shards). The
-	// national session runs are lossless, so sharded and sequential
-	// measurements agree exactly; sharding is what makes the 10⁵-
-	// receiver points tractable. 0 keeps the sequential engine.
+	// Shards is the shard count of the zone-sharded engine each census
+	// point runs on (see DataConfig.Shards); 0 runs on one shard. The
+	// national session runs are lossless, so every shard count measures
+	// exactly the same; sharding is what makes the 10⁵-receiver points
+	// tractable.
 	Shards int
 	// DesignateZCRs pre-seeds every zone's ZCR (the zone's lowest-ID
 	// member; the source for the root zone) before the session layer
@@ -95,38 +93,25 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 		cfg.FlatCutoff = 4096
 	}
 
-	measure := func(spec *topology.Spec, acct, part []topology.ZoneSpec) (scalingMeasure, error) {
-		if cfg.Shards > 0 {
-			return runSessionCensusSharded(spec, acct, part, cfg.Seed, cfg.Seconds, cfg.Shards, cfg.DesignateZCRs)
-		}
-		return runSessionCensus(spec, acct, cfg.Seed, cfg.Seconds, cfg.DesignateZCRs)
-	}
+	shards := max(cfg.Shards, 1)
 
 	points := make([]analysis.ScalingPoint, len(cfg.Subscribers))
-	errs := make([]error, len(cfg.Subscribers))
-	runIndexed(len(cfg.Subscribers), func(i int) {
+	err := runIndexed(len(cfg.Subscribers), func(i int) error {
 		p := topology.NationalParams{
 			Regions: cfg.Regions, Cities: cfg.Cities,
 			Suburbs: cfg.Suburbs, SubscribersPerSuburb: cfg.Subscribers[i],
 		}
 		top := NationalTopology(cfg.Regions, cfg.Cities, cfg.Suburbs, cfg.Subscribers[i])
-		// Both runs account against the scoped zone geometry — the
-		// census is passive, so the flat protocol run can be measured
-		// against the boundaries scoping would have enforced. The
-		// partition (sharded runs) always uses the native zones too:
-		// flattening changes scoping, not physical locality.
-		scoped, err := measure(top.spec, top.spec.Zones, top.spec.Zones)
+		scoped, err := measureSessionCensus(top, true, cfg.Seed, cfg.Seconds, shards, cfg.DesignateZCRs)
 		if err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		var flat scalingMeasure
 		flatMeasured := p.TotalReceivers() <= cfg.FlatCutoff
 		if flatMeasured {
-			flat, err = measure(globalized(top.spec), top.spec.Zones, top.spec.Zones)
+			flat, err = measureSessionCensus(top, false, cfg.Seed, cfg.Seconds, shards, cfg.DesignateZCRs)
 			if err != nil {
-				errs[i] = err
-				return
+				return err
 			}
 		}
 
@@ -166,11 +151,10 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 			pt.FlatEscapeFrac = float64(flat.escape) / float64(flat.ctrlLink)
 		}
 		points[i] = pt
+		return nil
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return &analysis.ScalingReport{
 		Topology: fmt.Sprintf("national %dx%dx%d, %d s/run, seed %d",
@@ -180,53 +164,53 @@ func RunScalingSweep(cfg ScalingSweepConfig) (*analysis.ScalingReport, error) {
 	}, nil
 }
 
-// runSessionCensus runs the session layer alone on spec with the
-// census engine armed: link matrices bound, per-member state probes
-// registered, epoch snapshots every virtual second. The protocol runs
-// against spec.Zones while the census accounts against acctZones, so a
-// flat run can be measured against the scoped zone geometry. It
-// returns the census-measured state peak and control-traffic matrix
-// entries.
-func runSessionCensus(spec *topology.Spec, acctZones []topology.ZoneSpec, seed uint64, seconds float64, designate bool) (scalingMeasure, error) {
-	h, err := scoping.Build(spec.Zones)
+// measureSessionCensus runs the session layer alone on top — scoped, or
+// flattened to one zone — on the zone-sharded engine with the census
+// engine armed: link matrices bound, per-member state probes
+// registered, epoch snapshots every virtual second. The census accounts
+// against top's scoped zone geometry either way — it is passive, so a
+// flat run can be measured against the boundaries scoping would have
+// enforced — and the partition follows top's native zones too:
+// flattening changes scoping, not physical locality. Every shard view
+// feeds the one census hop tap (ObserveHop is atomic), and starts and
+// snapshots run at Sync barriers so they see a globally consistent
+// virtual time. It returns the census-measured state peak and
+// control-traffic matrix entries.
+func measureSessionCensus(top *Topology, scoped bool, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
+	hAcct, err := scoping.Build(top.spec.Zones)
 	if err != nil {
 		return scalingMeasure{}, err
 	}
-	hAcct, err := scoping.Build(acctZones)
+	e, err := newEngine(&DataConfig{Topology: top, Seed: seed, Shards: shards}, scoped)
 	if err != nil {
 		return scalingMeasure{}, err
 	}
 	var designated map[scoping.ZoneID]topology.NodeID
 	if designate {
-		designated = designatedZCRs(h, spec.Source)
+		designated = designatedZCRs(e.h, e.spec.Source)
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-	cen := census.New(telemetry.NewRegistry(), hAcct, spec.Graph.NumNodes())
-	cen.BindLinks(spec.Graph)
-	cen.BindQueue(&q)
-	net.SetHopTap(cen.ObserveHop)
-	for _, m := range spec.Members() {
-		mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-		net.Attach(m, sessionOnlyAgent{mgr})
+	cen := census.New(telemetry.NewRegistry(), hAcct, e.spec.Graph.NumNodes())
+	cen.BindLinks(e.spec.Graph)
+	cen.BindQueue(e.grp.Queue(0))
+	for _, n := range e.nets {
+		n.SetHopTap(cen.ObserveHop)
+	}
+	mgrs := startSessions(e, designated)
+	for _, m := range e.spec.Members() {
+		mgr := mgrs[m]
 		cen.SetProbe(m, func() census.State {
 			return census.State{
 				Timers:         int64(mgr.CensusTimers()),
 				SessionEntries: int64(mgr.StateSize()),
 			}
 		})
-		isSource := m == spec.Source
-		q.At(1, func(eventq.Time) {
-			seedDesignated(mgr, designated)
-			mgr.Start(isSource)
-		})
 	}
 	for t := 2.0; t <= 1+seconds; t++ {
-		at := t
-		q.At(eventq.Time(at), func(now eventq.Time) { cen.Snapshot(float64(now)) })
+		e.at(eventq.Time(t), func(now eventq.Time) { cen.Snapshot(float64(now)) })
 	}
-	q.RunUntil(secondsToTime(1 + seconds))
+	if err := e.run(1 + seconds); err != nil {
+		return scalingMeasure{}, err
+	}
 	cen.Snapshot(1 + seconds)
 
 	return scalingMeasure{
@@ -239,78 +223,10 @@ func runSessionCensus(spec *topology.Spec, acctZones []topology.ZoneSpec, seed u
 	}, nil
 }
 
-// runSessionCensusSharded is runSessionCensus on the zone-sharded
-// parallel engine: partZones drives the physical partition (always the
-// native zone geometry, even when the protocol runs globalized), every
-// shard view feeds the one census hop tap (ObserveHop is atomic), and
-// member starts plus epoch snapshots run at Sync barriers so they see
-// a globally consistent virtual time. The national sweeps are
-// lossless, so this measures exactly what the sequential engine would.
-func runSessionCensusSharded(spec *topology.Spec, acctZones, partZones []topology.ZoneSpec, seed uint64, seconds float64, shards int, designate bool) (scalingMeasure, error) {
-	h, err := scoping.Build(spec.Zones)
-	if err != nil {
-		return scalingMeasure{}, err
-	}
-	hAcct, err := scoping.Build(acctZones)
-	if err != nil {
-		return scalingMeasure{}, err
-	}
-	var designated map[scoping.ZoneID]topology.NodeID
-	if designate {
-		designated = designatedZCRs(h, spec.Source)
-	}
-	owner, lookahead := topology.PartitionByZone(spec.Graph, partZones, shards)
-	if lookahead <= 0 {
-		return scalingMeasure{}, fmt.Errorf("sharded census: partition yields no positive lookahead")
-	}
-	src := simrand.New(seed)
-	grp := eventq.NewShardGroup(shards, lookahead)
-	cluster, err := netsim.NewCluster(grp, spec.Graph, h, src, owner)
-	if err != nil {
-		return scalingMeasure{}, err
-	}
-	cen := census.New(telemetry.NewRegistry(), hAcct, spec.Graph.NumNodes())
-	cen.BindLinks(spec.Graph)
-	cen.BindQueue(grp.Queue(0))
-	for i := 0; i < cluster.NumShards(); i++ {
-		cluster.Shard(i).SetHopTap(cen.ObserveHop)
-	}
-	members := spec.Members()
-	mgrs := make([]*session.Manager, len(members))
-	for i, m := range members {
-		mgr := session.New(m, cluster.NetFor(m), session.DefaultConfig(), src.StreamN("session", int(m)))
-		cluster.NetFor(m).Attach(m, sessionOnlyAgent{mgr})
-		mgrs[i] = mgr
-		cen.SetProbe(m, func() census.State {
-			return census.State{
-				Timers:         int64(mgr.CensusTimers()),
-				SessionEntries: int64(mgr.StateSize()),
-			}
-		})
-	}
-	grp.Sync(1, func(eventq.Time) {
-		for i, m := range members {
-			seedDesignated(mgrs[i], designated)
-			mgrs[i].Start(m == spec.Source)
-		}
-	})
-	for t := 2.0; t <= 1+seconds; t++ {
-		grp.Sync(eventq.Time(t), func(now eventq.Time) { cen.Snapshot(float64(now)) })
-	}
-	grp.Run(secondsToTime(1 + seconds))
-	cen.Snapshot(1 + seconds)
-
-	return scalingMeasure{
-		peakState: cen.PeakSessionEntries(),
-		ctrlLink:  cen.LinkPkts(census.ClassControl),
-		escape:    cen.BoundaryPktsAtLevel(1, census.ClassControl),
-	}, nil
-}
-
 // designatedZCRs returns the deployment-style ZCR assignment for every
 // zone of h: the data source for the root zone (Start(true) declares it
 // there anyway) and the lowest-ID member elsewhere. Purely a function
-// of the hierarchy, so sequential and sharded runs seed identically and
+// of the hierarchy, so runs at every shard count seed identically and
 // shard-count invariance is preserved.
 func designatedZCRs(h *scoping.Hierarchy, source topology.NodeID) map[scoping.ZoneID]topology.NodeID {
 	d := make(map[scoping.ZoneID]topology.NodeID, h.NumZones())

@@ -3,9 +3,6 @@ package sharqfec
 import (
 	"sharqfec/internal/core"
 	"sharqfec/internal/eventq"
-	"sharqfec/internal/netsim"
-	"sharqfec/internal/scoping"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -43,80 +40,52 @@ func RunTimerSweep(seed uint64, multipliers []float64) ([]TimerSweepPoint, error
 		multipliers = []float64{0.5, 1, 2, 4}
 	}
 	out := make([]TimerSweepPoint, len(multipliers))
-	errs := make([]error, len(multipliers))
-	runIndexed(len(multipliers), func(i int) {
+	err := runIndexed(len(multipliers), func(i int) error {
 		pt, err := runTimerPoint(seed, multipliers[i])
-		if err != nil {
-			errs[i] = err
-			return
+		if err == nil {
+			out[i] = *pt
 		}
-		out[i] = *pt
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 func runTimerPoint(seed uint64, mult float64) (*TimerSweepPoint, error) {
-	spec := topology.Figure10(topology.Figure10Params{})
-	h, err := scoping.Build(spec.Zones)
+	r, err := newSHARQFECRun(figure10Session(seed, 256, 60), func(pcfg *core.Config) {
+		pcfg.C1 *= mult
+		pcfg.C2 *= mult
+		pcfg.D1 *= mult
+		pcfg.D2 *= mult
+	})
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-
-	pcfg := core.DefaultConfig()
-	pcfg.NumPackets = 256
-	pcfg.C1 *= mult
-	pcfg.C2 *= mult
-	pcfg.D1 *= mult
-	pcfg.D2 *= mult
-
-	ipt := pcfg.InterPacket()
-	k := pcfg.GroupK
+	ipt := r.pcfg.InterPacket()
+	k := r.pcfg.GroupK
 	groupEnd := func(gid uint32) float64 {
 		return 6 + float64(int(gid+1)*k)*ipt
 	}
-
-	agents := make(map[topology.NodeID]*core.Agent)
-	completions := 0
 	var recoverySum float64
 	var recoveries int
-	for _, m := range spec.Members() {
-		ag, err := core.New(m, net, pcfg, src)
-		if err != nil {
-			return nil, err
+	r.onComplete = func(now eventq.Time, _ topology.NodeID, gid uint32) {
+		if delay := now.Seconds() - groupEnd(gid); delay > 0 {
+			recoverySum += delay
+			recoveries++
 		}
-		if m != spec.Source {
-			ag.OnComplete = func(now eventq.Time, gid uint32, _ [][]byte) {
-				completions++
-				if delay := now.Seconds() - groupEnd(gid); delay > 0 {
-					recoverySum += delay
-					recoveries++
-				}
-			}
-		}
-		agents[m] = ag
 	}
-	q.At(1, func(eventq.Time) {
-		for _, ag := range agents {
-			ag.Join()
-		}
-	})
-	q.At(6, func(eventq.Time) { agents[spec.Source].StartSource() })
-	q.RunUntil(60)
+	if err := r.run(); err != nil {
+		return nil, err
+	}
 
 	pt := &TimerSweepPoint{
 		Multiplier: mult,
-		C1:         pcfg.C1, C2: pcfg.C2,
-		D1: pcfg.D1, D2: pcfg.D2,
+		C1:         r.pcfg.C1, C2: r.pcfg.C2,
+		D1: r.pcfg.D1, D2: r.pcfg.D2,
 	}
-	for _, ag := range agents {
+	for _, ag := range r.agents {
 		pt.NACKs += ag.Stats.NACKsSent
 		pt.Repairs += ag.Stats.RepairsSent + ag.Stats.RepairsInjected
 		pt.DupShares += ag.Stats.DupShares
@@ -124,6 +93,6 @@ func runTimerPoint(seed uint64, mult float64) (*TimerSweepPoint, error) {
 	if recoveries > 0 {
 		pt.MeanRecovery = recoverySum / float64(recoveries)
 	}
-	pt.Completion = float64(completions) / float64(len(spec.Receivers)*pcfg.NumGroups())
+	pt.Completion = float64(r.completions()) / float64(len(r.e.spec.Receivers)*r.pcfg.NumGroups())
 	return pt, nil
 }

@@ -7,7 +7,6 @@ import (
 	"sharqfec/internal/packet"
 	"sharqfec/internal/scoping"
 	"sharqfec/internal/session"
-	"sharqfec/internal/simrand"
 	"sharqfec/internal/topology"
 )
 
@@ -45,27 +44,16 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 	if until == 0 {
 		until = 30
 	}
-	spec := top.spec
-	h, err := scoping.Build(spec.Zones)
+	e, err := newEngine(&DataConfig{Topology: top, Seed: seed}, true)
 	if err != nil {
 		return nil, err
 	}
-	var q eventq.Queue
-	src := simrand.New(seed)
-	net := netsim.New(&q, spec.Graph, h, src)
-	mgrs := make(map[topology.NodeID]*session.Manager)
-	for _, m := range spec.Members() {
-		mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-		mgrs[m] = mgr
-		net.Attach(m, sessionOnlyAgent{mgr})
+	mgrs := startSessions(e, nil)
+	if err := e.run(until); err != nil {
+		return nil, err
 	}
-	q.At(1, func(eventq.Time) {
-		for _, m := range spec.Members() {
-			mgrs[m].Start(m == spec.Source)
-		}
-	})
-	q.RunUntil(secondsToTime(until))
 
+	spec, h := top.spec, e.h
 	res := &ZCRResult{Topology: spec.Name, PerZone: map[int]ZoneElection{}, Correct: true}
 	tree := spec.Graph.SPFTree(spec.Source)
 	for z := scoping.ZoneID(0); int(z) < h.NumZones(); z++ {
@@ -109,6 +97,28 @@ func RunZCRElection(top *Topology, seed uint64, until float64) (*ZCRResult, erro
 	return res, nil
 }
 
+// startSessions runs the session layer alone on e: it attaches a
+// session.Manager to every member and starts them all at t = 1 s, the
+// source as root-zone ZCR, each first seeded with the designated ZCRs
+// (nil for none; see designatedZCRs). It returns the managers indexed
+// by node. The §5/§6.1 session experiments and the census sweep run
+// through it.
+func startSessions(e *engine, designated map[scoping.ZoneID]topology.NodeID) []*session.Manager {
+	members := e.spec.Members()
+	mgrs := make([]*session.Manager, e.spec.Graph.NumNodes())
+	for _, m := range members {
+		mgrs[m] = session.New(m, e.net(m), session.DefaultConfig(), e.src.StreamN("session", int(m)))
+		e.net(m).Attach(m, sessionOnlyAgent{mgrs[m]})
+	}
+	e.at(1, func(eventq.Time) {
+		for _, m := range members {
+			seedDesignated(mgrs[m], designated)
+			mgrs[m].Start(m == e.spec.Source)
+		}
+	})
+	return mgrs
+}
+
 type sessionOnlyAgent struct{ m *session.Manager }
 
 func (a sessionOnlyAgent) Receive(now eventq.Time, d netsim.Delivery) { a.m.Receive(now, d.Pkt) }
@@ -136,46 +146,35 @@ func RunSessionScaling(top *Topology, seed uint64, seconds float64) (*SessionSca
 	if seconds == 0 {
 		seconds = 10
 	}
-	run := func(spec *topology.Spec) (int, int, error) {
-		h, err := scoping.Build(spec.Zones)
+	run := func(scoped bool) (int, int, error) {
+		e, err := newEngine(&DataConfig{Topology: top, Seed: seed}, scoped)
 		if err != nil {
 			return 0, 0, err
 		}
-		var q eventq.Queue
-		src := simrand.New(seed)
-		net := netsim.New(&q, spec.Graph, h, src)
 		deliveries := 0
-		net.AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
+		e.nets[0].AddTap(func(_ eventq.Time, _ topology.NodeID, d netsim.Delivery) {
 			if d.Pkt.Kind() == packet.TypeSession {
 				deliveries++
 			}
 		})
-		mgrs := make([]*session.Manager, 0, len(spec.Members()))
-		for _, m := range spec.Members() {
-			mgr := session.New(m, net, session.DefaultConfig(), src.StreamN("session", int(m)))
-			mgrs = append(mgrs, mgr)
-			net.Attach(m, sessionOnlyAgent{mgr})
+		mgrs := startSessions(e, nil)
+		if err := e.run(1 + seconds); err != nil {
+			return 0, 0, err
 		}
-		q.At(1, func(eventq.Time) {
-			for i, m := range spec.Members() {
-				mgrs[i].Start(m == spec.Source)
-			}
-		})
-		q.RunUntil(secondsToTime(1 + seconds))
 		maxState := 0
-		for _, m := range mgrs {
-			if s := m.StateSize(); s > maxState {
-				maxState = s
+		for _, m := range top.spec.Members() {
+			if n := mgrs[m].StateSize(); n > maxState {
+				maxState = n
 			}
 		}
 		return deliveries, maxState, nil
 	}
 
-	scoped, scopedState, err := run(top.spec)
+	scoped, scopedState, err := run(true)
 	if err != nil {
 		return nil, err
 	}
-	flat, _, err := run(globalized(top.spec))
+	flat, _, err := run(false)
 	if err != nil {
 		return nil, err
 	}
