@@ -376,3 +376,33 @@ func TestPerfettoExport(t *testing.T) {
 		t.Fatal("WritePerfetto succeeded without span tracing")
 	}
 }
+
+// TestRestartKeepsPreCrashCounts pins the recovery totals of a run that
+// restarts crashed members: a restart replaces the node's agent, and
+// everything the crashed agent sent before it died must still count,
+// exactly as the telemetry registry counts it.
+func TestRestartKeepsPreCrashCounts(t *testing.T) {
+	plan := NewFaultPlan().Crash(8, 8).Crash(8.5, 20).Restart(12, 8).Restart(14, 20)
+	for _, proto := range []Protocol{SHARQFEC, SRM} {
+		t.Run(string(proto), func(t *testing.T) {
+			res, err := RunData(DataConfig{
+				Protocol: proto, Seed: 1, NumPackets: 256, Faults: plan, Telemetry: &TelemetryConfig{},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tel := res.Telemetry
+			if tel.NACKsSent != int64(res.NACKsSent) || tel.RepairsSent != int64(res.RepairsSent) {
+				t.Errorf("NACKs/repairs: report %d/%d, registry %d/%d",
+					res.NACKsSent, res.RepairsSent, tel.NACKsSent, tel.RepairsSent)
+			}
+			agg := tel.rows[len(tel.rows)-1]
+			if agg.Zone != -1 {
+				t.Fatalf("last sample row is zone %d, not the aggregate", agg.Zone)
+			}
+			if agg.RepairsInjected != int64(res.RepairsInjected) {
+				t.Errorf("injections: report %d, registry %d", res.RepairsInjected, agg.RepairsInjected)
+			}
+		})
+	}
+}
