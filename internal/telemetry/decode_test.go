@@ -14,11 +14,16 @@ import (
 // and Origin coupled to Hops the way emitters produce them.
 func randomEvent(rng *rand.Rand) Event {
 	e := Event{
-		T:     float64(rng.Intn(100_000_000)) / 1e3, // [0, 1e5), 6 decimals exact
+		T:     float64(rng.Intn(100_000_000)) / 1e3, // [0, 1e5), millisecond grid
 		Kind:  Kind(rng.Intn(int(numKinds))),
 		Node:  topology.NodeID(rng.Intn(64) - 1), // includes NoNode
 		Zone:  scoping.NoZone,
 		Group: -1,
+	}
+	if rng.Intn(2) == 0 {
+		// Full-precision, non-dyadic virtual time, as the event queue
+		// produces after sums of link latencies and timer draws.
+		e.T = rng.Float64() * 1e5
 	}
 	if rng.Intn(2) == 0 {
 		e.Zone = scoping.ZoneID(rng.Intn(32))
@@ -43,9 +48,9 @@ func randomEvent(rng *rand.Rand) Event {
 }
 
 // TestEventLineRoundTrip is the replay fidelity property: for random
-// events, encode → ParseEventLine → re-encode reproduces the original
-// JSONL bytes exactly, so offline span assembly sees what live assembly
-// saw.
+// events, encode → ParseEventLine restores the original time exactly and
+// re-encoding reproduces the original JSONL bytes, so offline span
+// assembly sees what live assembly saw.
 func TestEventLineRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var first, second bytes.Buffer
@@ -55,7 +60,11 @@ func TestEventLineRoundTrip(t *testing.T) {
 	events := make([]Event, 500)
 	for i := range events {
 		events[i] = randomEvent(rng)
-		sink1(events[i])
+	}
+	events[0].T = 6.0123456789
+	events[1].T = 0.1 + 0.2
+	for _, e := range events {
+		sink1(e)
 	}
 	if err := w1.Flush(); err != nil {
 		t.Fatal(err)
@@ -75,6 +84,9 @@ func TestEventLineRoundTrip(t *testing.T) {
 		if e.Kind != events[i].Kind || e.Node != events[i].Node {
 			t.Fatalf("line %d decoded to kind=%v node=%v, want kind=%v node=%v",
 				i, e.Kind, e.Node, events[i].Kind, events[i].Node)
+		}
+		if e.T != events[i].T {
+			t.Fatalf("line %d decoded t=%v, want %v exactly (%s)", i, e.T, events[i].T, line)
 		}
 		sink2(e)
 	}

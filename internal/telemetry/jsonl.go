@@ -38,7 +38,9 @@ func (ew *EventWriter) write(e Event) {
 	}
 	b := ew.buf[:0]
 	b = append(b, `{"t":`...)
-	b = strconv.AppendFloat(b, e.T, 'f', 6, 64)
+	// Shortest exact form: a replayed trace must see the same float64
+	// times (and so the same span latencies) as the live run.
+	b = strconv.AppendFloat(b, e.T, 'g', -1, 64)
 	b = append(b, `,"ev":"`...)
 	b = append(b, e.Kind.String()...)
 	b = append(b, `","node":`...)

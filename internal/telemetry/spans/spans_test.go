@@ -364,6 +364,12 @@ func TestReplayMatchesLive(t *testing.T) {
 		{T: 1.75, Kind: telemetry.KindGroupDecoded, Node: 1, Group: 0},
 		{T: 2.0, Kind: telemetry.KindLossDetected, Node: 1, Group: 1, A: 21},
 		{T: 8.0, Kind: telemetry.KindLossUnrecovered, Node: 1, Group: 1, A: 21},
+		// Non-dyadic times with more than six decimals: the replayed
+		// start and latency must match the live ones exactly.
+		{T: 6.0123456789, Kind: telemetry.KindLossDetected, Node: 1, Group: 2, A: 37},
+		{T: 6.1000000001, Kind: telemetry.KindNACKSent, Node: 1, Group: 2},
+		repairDelivered(6.3333333333333, 1, 2, 1, 0, 2),
+		{T: 6.4142135623731, Kind: telemetry.KindGroupDecoded, Node: 1, Group: 2},
 	}
 	live := NewAssembler()
 	var buf bytes.Buffer
