@@ -74,7 +74,8 @@ type Config struct {
 	// (paper: 2.5).
 	ZLCWaitRTTs float64
 	// EscalateAfter is how many NACK attempts are made at each scope
-	// before widening to the next-largest zone (paper: 2).
+	// before widening to the next-largest zone (paper: 2). A peer's NACK
+	// heard at the group's current scope counts as an attempt.
 	EscalateAfter int
 	// RepairSpacing is the interval between successive repair packets
 	// from one repairer, as a fraction of the data inter-packet

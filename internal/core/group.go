@@ -40,7 +40,7 @@ type group struct {
 	reqTimer    fabric.Timer
 	reqExp      int // the paper's i, initially 1
 	scopeIdx    int // current NACK scope (index into the agent's chain)
-	attempts    int // NACKs sent at the current scope
+	attempts    int // NACKs sent or heard at the current scope
 	outstanding int // repairs requested by zone peers, minus repairs heard
 
 	// reply side (repairer)
@@ -387,6 +387,13 @@ func (a *Agent) handleNACK(now eventq.Time, p *packet.NACK) {
 	}
 	if int(p.Needed) > g.outstanding {
 		g.outstanding = int(p.Needed)
+	}
+	// A peer's NACK at our current scope (set once the group is first
+	// seen) is an attempt there too: suppression keeps most members
+	// quiet, so counting only our own NACKs could leave a zone that
+	// cannot repair itself asking inside it indefinitely.
+	if !g.complete && g.firstSeen != 0 && scope == a.scopeZone(g.scopeIdx) {
+		g.attempts++
 	}
 
 	// Speculative reply queue for repairers (§4): remember how many
