@@ -147,107 +147,6 @@ func TestClusterShardCountInvariance(t *testing.T) {
 	}
 }
 
-// losslessMesh builds a zero-loss non-tree graph: a flat fan-out with
-// lateral router↔router links added, so NumLinks > NumNodes-1 and the
-// cluster takes the per-source-Dijkstra plan path.
-func losslessMesh() *topology.Spec {
-	spec := topology.FlatFanout(topology.FlatParams{Routers: 6, ReceiversPerRouter: 20})
-	for r := 0; r < 3; r++ {
-		a := topology.NodeID(1 + r*21)
-		b := topology.NodeID(1 + (r+3)*21)
-		spec.Graph.AddLink(a, b, 45e6, 0.020, 0)
-	}
-	spec.Name = "flat-mesh"
-	return spec
-}
-
-// TestClusterMatchesSequentialWithoutLoss checks the fan plans against
-// the sequential forwarding ground truth: with loss disabled neither
-// path draws randomness, so every delivery (time, node, origin, seq)
-// must agree exactly — on both the tree-climb and the Dijkstra plan
-// builders.
-func TestClusterMatchesSequentialWithoutLoss(t *testing.T) {
-	specs := []*topology.Spec{
-		topology.PowerLawISP(topology.PowerLawParams{PoPs: 5, Subscribers: 80, Seed: 9}),
-		losslessMesh(),
-	}
-	for _, spec := range specs {
-		t.Run(spec.Name, func(t *testing.T) {
-			for i := 0; i < spec.Graph.NumLinks(); i++ {
-				l := spec.Graph.Link(i)
-				if l.LossAB != 0 || l.LossBA != 0 {
-					t.Fatalf("link %d carries loss (%g, %g); this test needs a lossless spec", i, l.LossAB, l.LossBA)
-				}
-			}
-			h, err := scoping.Build(spec.Zones)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			run := func(mc func(from topology.NodeID, zone scoping.ZoneID, pkt packet.Packet),
-				attach func(v topology.NodeID, a netsim.Agent),
-				schedule func(at eventq.Time, fn eventq.Handler),
-				drive func()) []deliveryRecord {
-
-				perNode := make([][]deliveryRecord, spec.Graph.NumNodes())
-				for _, r := range spec.Receivers {
-					v := r
-					attach(v, agentFunc(func(now eventq.Time, d netsim.Delivery) {
-						var seq uint32
-						if dp, ok := d.Pkt.(*packet.Data); ok {
-							seq = dp.Seq
-						}
-						perNode[v] = append(perNode[v], deliveryRecord{t: now, node: v, from: d.From, seq: seq})
-					}))
-				}
-				for i := 0; i < 12; i++ {
-					seq := uint32(i)
-					schedule(eventq.Time(0.05+0.031*float64(i)), func(now eventq.Time) {
-						mc(spec.Source, h.Root(), &packet.Data{
-							Origin: spec.Source, Seq: seq, Payload: make([]byte, 512),
-						})
-					})
-				}
-				drive()
-				var recs []deliveryRecord
-				for _, rs := range perNode {
-					recs = append(recs, rs...)
-				}
-				return recs
-			}
-
-			var q eventq.Queue
-			seqNet := netsim.New(&q, spec.Graph.Clone(), h, simrand.New(7))
-			seqRecs := run(
-				func(f topology.NodeID, z scoping.ZoneID, p packet.Packet) { seqNet.Multicast(f, z, p) },
-				seqNet.Attach,
-				func(at eventq.Time, fn eventq.Handler) { q.At(at, fn) },
-				func() { q.RunUntil(10) })
-
-			g := spec.Graph.Clone()
-			owner, lookahead := topology.PartitionByZone(g, spec.Zones, 3)
-			grp := eventq.NewShardGroup(3, lookahead)
-			c, err := netsim.NewCluster(grp, g, h, simrand.New(7), owner)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cluRecs := run(
-				func(f topology.NodeID, z scoping.ZoneID, p packet.Packet) { c.NetFor(f).Multicast(f, z, p) },
-				func(v topology.NodeID, a netsim.Agent) { c.NetFor(v).Attach(v, a) },
-				func(at eventq.Time, fn eventq.Handler) { grp.Queue(int(owner[spec.Source])).At(at, fn) },
-				func() { grp.Run(10) })
-
-			if len(seqRecs) == 0 {
-				t.Fatal("sequential reference delivered nothing")
-			}
-			if got, want := digestRecords(cluRecs), digestRecords(seqRecs); got != want {
-				t.Errorf("clustered deliveries diverge from sequential ground truth:\n  clustered  %d records %s\n  sequential %d records %s",
-					len(cluRecs), got, len(seqRecs), want)
-			}
-		})
-	}
-}
-
 // TestPartitionByZone checks the partition contract: top-level zone
 // subtrees never split across shards, loads balance, and the lookahead
 // is the minimum boundary-link latency.
