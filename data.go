@@ -58,17 +58,12 @@ type DataConfig struct {
 	// static EWMA policy — byte-identical to a build without the seam.
 	// SRM ignores it (no FEC).
 	RateControl *RateControlConfig
-	// Shards selects the engine (see engine.go). 0 (the default) runs
-	// the sequential engine, which the five fixed-seed goldens pin. Any
-	// other value runs the zone-sharded parallel engine: the topology is
-	// partitioned by top-level zone onto this many event queues that
-	// advance concurrently under conservative lookahead. Sharded runs
-	// form their own deterministic family: results are byte-identical
-	// for the same seed at ANY shard count (1, 2, 4, …) but differ from
-	// the sequential engine's, because loss randomness is re-keyed per
-	// link direction (the sequential engine's single global loss stream
-	// has no order-independent equivalent). Telemetry, TraceWriter and
-	// adaptive rate control are not yet supported sharded.
+	// Shards is the zone-sharded engine's shard count (see engine.go):
+	// the topology is partitioned by top-level zone onto this many event
+	// queues that advance concurrently under conservative lookahead.
+	// 0 (the default) means one shard. Results are byte-identical for
+	// the same seed at every shard count. Telemetry, TraceWriter and
+	// adaptive rate control are not yet supported above one shard.
 	Shards int
 }
 
@@ -351,7 +346,7 @@ type sharqRun struct {
 	// census, when set, gets every agent's state probe (RunData only).
 	census *census.Engine
 	// onComplete, when set, observes every completion. It runs on the
-	// receiver's shard, so only runners on the sequential engine set it.
+	// receiver's shard, so only one-shard runners set it.
 	onComplete func(now eventq.Time, node topology.NodeID, gid uint32)
 }
 

@@ -32,8 +32,8 @@ type ScalingSweepConfig struct {
 	// small zones carry fixed session overheads the model ignores — and
 	// converges toward it as populations grow; see EXPERIMENTS.md E20.
 	Tolerance float64
-	// Shards is the shard count of the zone-sharded engine each census
-	// point runs on (see DataConfig.Shards); 0 runs on one shard. The
+	// Shards is the shard count each census point runs on (see
+	// DataConfig.Shards); 0 runs on one shard. The
 	// national session runs are lossless, so every shard count measures
 	// exactly the same; sharding is what makes the 10⁵-receiver points
 	// tractable.
