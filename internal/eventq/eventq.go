@@ -128,8 +128,8 @@ type Queue struct {
 	// shard is the queue's shard ID, stamped on every scheduled event's
 	// birth key. Standalone queues are shard 0.
 	shard int32
-	// hashOn arms the dispatch digest: a running FNV-1a over the
-	// (at, bt, bs) key of every dispatched event. Per-shard digests are
+	// hashOn arms the dispatch digest: a running word-wise FNV-1a over
+	// the (at, bt, bs) key of every dispatched event. Per-shard digests are
 	// the diagnostic the shard runner records so a determinism breach
 	// can be localized to the first diverging shard.
 	hashOn bool
@@ -149,20 +149,18 @@ func (q *Queue) EnableDispatchHash() {
 	q.hash = fnv1aOffset
 }
 
-// DispatchHash returns the running FNV-1a digest over the (at, bt, bs)
-// keys of every event dispatched since EnableDispatchHash.
+// DispatchHash returns the running digest over the (at, bt, bs) keys of
+// every event dispatched since EnableDispatchHash.
 func (q *Queue) DispatchHash() uint64 { return q.hash }
 
-// hashEvent folds one dispatched event's ordering key into the digest.
+// hashEvent folds one dispatched event's ordering key into the digest,
+// one 64-bit word per FNV-1a step (each step is a bijection of the
+// running hash, so any single differing key changes the digest).
 func (q *Queue) hashEvent(ev *event) {
 	h := q.hash
-	for _, w := range [3]uint64{uint64(math.Float64bits(float64(ev.at))),
-		uint64(math.Float64bits(float64(ev.bt))), uint64(ev.bs)} {
-		for i := 0; i < 8; i++ {
-			h ^= (w >> (8 * i)) & 0xff
-			h *= fnv1aPrime
-		}
-	}
+	h = (h ^ math.Float64bits(float64(ev.at))) * fnv1aPrime
+	h = (h ^ math.Float64bits(float64(ev.bt))) * fnv1aPrime
+	h = (h ^ uint64(ev.bs)) * fnv1aPrime
 	q.hash = h
 }
 

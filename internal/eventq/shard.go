@@ -119,8 +119,8 @@ func (g *ShardGroup) Now() Time { return g.now }
 // far — the runner's coupling diagnostic.
 func (g *ShardGroup) Posted() uint64 { return g.posted }
 
-// DispatchHashes returns each shard's running dispatch digest (FNV-1a
-// over dispatched (at, bt, bs) keys). When two runs that should agree
+// DispatchHashes returns each shard's running dispatch digest (word-wise
+// FNV-1a over dispatched (at, bt, bs) keys). When two runs that should agree
 // do not, the first differing shard digest localizes the divergence.
 func (g *ShardGroup) DispatchHashes() []uint64 {
 	out := make([]uint64, len(g.qs))
