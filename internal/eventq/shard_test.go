@@ -9,13 +9,15 @@ import (
 // shardSim is a synthetic token-passing workload whose behaviour is
 // independent of the shard count by construction: per-token delays
 // depend only on (node, hop), never on shard ownership, so any
-// divergence between shard counts is the runner's fault.
+// divergence between shard counts is the runner's fault. Every
+// per-node slot (hash, fires) is written only by events at that node,
+// which run on the node's owning shard, so workers share no counters.
 type shardSim struct {
 	g     *ShardGroup
 	owner []int
 	hash  []uint64
+	fires []int
 	n     int
-	fires int
 }
 
 const simLookahead = 0.013
@@ -25,6 +27,7 @@ func newShardSim(nodes, shards int) *shardSim {
 		g:     NewShardGroup(shards, simLookahead),
 		owner: make([]int, nodes),
 		hash:  make([]uint64, nodes),
+		fires: make([]int, nodes),
 		n:     nodes,
 	}
 	for i := range s.owner {
@@ -52,7 +55,7 @@ func (s *shardSim) arrive(node, hop int, now Time) {
 	h := s.hash[node]
 	h = h*0x100000001b3 ^ uint64(node) ^ uint64(hop)<<16 ^ uint64(float64(now)*1e9)
 	s.hash[node] = h
-	s.fires++
+	s.fires[node]++
 	if hop >= 40 {
 		return
 	}
@@ -87,7 +90,11 @@ func (s *shardSim) run(t *testing.T) uint64 {
 		}
 	})
 	s.g.Run(10)
-	if s.fires == 0 {
+	fires := 0
+	for _, f := range s.fires {
+		fires += f
+	}
+	if fires == 0 {
 		t.Fatal("simulation dispatched nothing")
 	}
 	return s.digest()
