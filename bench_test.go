@@ -673,6 +673,26 @@ func BenchmarkHealthSink(b *testing.B) {
 	b.ReportMetric(float64(len(events))/(float64(b.Elapsed().Nanoseconds())/float64(b.N))*1e3, "events/µs")
 }
 
+// BenchmarkCensusBind is the census set-up ledger entry: census.New
+// plus BindLinks on the national 18×18×18×2 hierarchy (12,006
+// receivers, 6,175 zones), the E21 point the national12k workload
+// runs. The topology and zone hierarchy are built once, untimed.
+func BenchmarkCensusBind(b *testing.B) {
+	spec := topology.National(topology.NationalParams{
+		Regions: 18, Cities: 18, Suburbs: 18, SubscribersPerSuburb: 2,
+	}, 10e6, 0.010, 0)
+	h, err := scoping.Build(spec.Zones)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng := census.New(telemetry.NewRegistry(), h, spec.Graph.NumNodes())
+		eng.BindLinks(spec.Graph)
+	}
+}
+
 // BenchmarkCensusSink measures the cost-census ingest paths — the bus
 // sink and the netsim hop tap — over a recorded burst-loss event
 // stream. Both must stay at 0 allocs/op in steady state: they run for

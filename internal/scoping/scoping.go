@@ -8,7 +8,6 @@ package scoping
 
 import (
 	"fmt"
-	"sort"
 
 	"sharqfec/internal/topology"
 )
@@ -32,20 +31,19 @@ type zone struct {
 type Hierarchy struct {
 	zones    []zone
 	root     ZoneID
-	leafZone map[topology.NodeID]ZoneID
+	leafZone []ZoneID // node → smallest zone; NoZone for non-members
 }
 
 // Build constructs a Hierarchy from builder zone specs. Exactly one spec
 // must have Parent == -1 (the global zone). Every node may appear in at
-// most one spec's Leaves.
+// most one spec's Leaves, and node IDs must not be negative.
 func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("scoping: no zones")
 	}
 	h := &Hierarchy{
-		zones:    make([]zone, len(specs)),
-		root:     NoZone,
-		leafZone: make(map[topology.NodeID]ZoneID),
+		zones: make([]zone, len(specs)),
+		root:  NoZone,
 	}
 	index := make(map[int]ZoneID, len(specs))
 	for i, s := range specs {
@@ -101,10 +99,24 @@ func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 			return nil, fmt.Errorf("scoping: zone %d unreachable from root", i)
 		}
 	}
-	// Leaf-zone map and member sets.
+	// Leaf-zone table and member sets. Visiting nodes in ID order
+	// leaves every member list sorted.
+	maxNode := topology.NodeID(-1)
 	for i := range h.zones {
 		for _, n := range h.zones[i].leaves {
-			if _, dup := h.leafZone[n]; dup {
+			if n < 0 {
+				return nil, fmt.Errorf("scoping: zone %d has negative leaf node %d", specs[i].ID, n)
+			}
+			maxNode = max(maxNode, n)
+		}
+	}
+	h.leafZone = make([]ZoneID, maxNode+1)
+	for n := range h.leafZone {
+		h.leafZone[n] = NoZone
+	}
+	for i := range h.zones {
+		for _, n := range h.zones[i].leaves {
+			if h.leafZone[n] != NoZone {
 				return nil, fmt.Errorf("scoping: node %d has two leaf zones", n)
 			}
 			h.leafZone[n] = ZoneID(i)
@@ -112,12 +124,8 @@ func Build(specs []topology.ZoneSpec) (*Hierarchy, error) {
 	}
 	for n, z := range h.leafZone {
 		for cur := z; cur != NoZone; cur = h.zones[cur].parent {
-			h.zones[cur].members = append(h.zones[cur].members, n)
+			h.zones[cur].members = append(h.zones[cur].members, topology.NodeID(n))
 		}
-	}
-	for i := range h.zones {
-		m := h.zones[i].members
-		sort.Slice(m, func(a, b int) bool { return m[a] < m[b] })
 	}
 	return h, nil
 }
@@ -157,8 +165,8 @@ func (h *Hierarchy) Specs() []topology.ZoneSpec {
 // mid-session leaves; pair it with netsim.Network.SetHierarchy so cached
 // delivery sets are invalidated.
 func (h *Hierarchy) WithoutMember(n topology.NodeID) (*Hierarchy, error) {
-	z, ok := h.leafZone[n]
-	if !ok {
+	z := h.LeafZone(n)
+	if z == NoZone {
 		return nil, fmt.Errorf("scoping: node %d is not a session member", n)
 	}
 	specs := h.Specs()
@@ -190,22 +198,17 @@ func (h *Hierarchy) Level(z ZoneID) int { return h.zones[z].level }
 // LeafZone returns the smallest zone containing node n, or NoZone if n is
 // not a session member.
 func (h *Hierarchy) LeafZone(n topology.NodeID) ZoneID {
-	z, ok := h.leafZone[n]
-	if !ok {
+	if n < 0 || int(n) >= len(h.leafZone) {
 		return NoZone
 	}
-	return z
+	return h.leafZone[n]
 }
 
 // ZonesOf returns the chain of zones containing n, smallest first and the
 // root last. It returns nil for non-members.
 func (h *Hierarchy) ZonesOf(n topology.NodeID) []ZoneID {
-	z, ok := h.leafZone[n]
-	if !ok {
-		return nil
-	}
 	var out []ZoneID
-	for cur := z; cur != NoZone; cur = h.zones[cur].parent {
+	for cur := h.LeafZone(n); cur != NoZone; cur = h.zones[cur].parent {
 		out = append(out, cur)
 	}
 	return out
@@ -222,7 +225,7 @@ func (h *Hierarchy) Leaves(z ZoneID) []topology.NodeID { return h.zones[z].leave
 
 // Contains reports whether node n is a member of zone z.
 func (h *Hierarchy) Contains(z ZoneID, n topology.NodeID) bool {
-	for cur, ok := h.leafZone[n]; ok && cur != NoZone; cur = h.zones[cur].parent {
+	for cur := h.LeafZone(n); cur != NoZone; cur = h.zones[cur].parent {
 		if cur == z {
 			return true
 		}
@@ -253,19 +256,38 @@ func (h *Hierarchy) Escalate(z ZoneID) ZoneID {
 // CommonZone returns the smallest zone containing both a and b, or NoZone
 // if either is not a member.
 func (h *Hierarchy) CommonZone(a, b topology.NodeID) ZoneID {
-	za := h.ZonesOf(a)
-	zb := h.ZonesOf(b)
-	if za == nil || zb == nil {
-		return NoZone
-	}
-	inB := make(map[ZoneID]bool, len(zb))
-	for _, z := range zb {
-		inB[z] = true
-	}
-	for _, z := range za {
-		if inB[z] {
-			return z
+	_, lca := h.CrossedZones(nil, a, b)
+	return lca
+}
+
+// CrossedZones appends to dst every zone that contains exactly one of
+// nodes a and b — the zones whose boundary a link between them crosses
+// — and returns it with the smallest zone containing both (NoZone when
+// either is not a member). The zones come leaf-upward, not sorted.
+//
+// One walk climbs both zone chains, always lifting the deeper side,
+// until they meet at the lowest common ancestor; every zone passed on
+// the way lies on exactly one chain. A non-member's chain is empty, so
+// the walk climbs the other chain through the root. The cost is
+// O(depth).
+func (h *Hierarchy) CrossedZones(dst []ZoneID, a, b topology.NodeID) ([]ZoneID, ZoneID) {
+	za, zb := h.LeafZone(a), h.LeafZone(b)
+	for za != zb {
+		if h.depth(za) >= h.depth(zb) {
+			dst = append(dst, za)
+			za = h.zones[za].parent
+		} else {
+			dst = append(dst, zb)
+			zb = h.zones[zb].parent
 		}
 	}
-	return NoZone
+	return dst, za
+}
+
+// depth is Level with NoZone, the empty chain, one above the root.
+func (h *Hierarchy) depth(z ZoneID) int {
+	if z == NoZone {
+		return -1
+	}
+	return h.zones[z].level
 }

@@ -2,6 +2,7 @@ package scoping
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +176,7 @@ func TestBuildErrors(t *testing.T) {
 			{ID: 0, Parent: -1, Leaves: []topology.NodeID{1}},
 			{ID: 1, Parent: 0, Leaves: []topology.NodeID{1}},
 		}},
+		{"negative leaf node", []topology.ZoneSpec{{ID: 0, Parent: -1, Leaves: []topology.NodeID{-2}}}},
 	}
 	for _, c := range cases {
 		if _, err := Build(c.specs); err == nil {
@@ -290,6 +292,73 @@ func TestPropertyRandomHierarchies(t *testing.T) {
 			cz := h.CommonZone(a, b)
 			if cz == NoZone || !h.Contains(cz, a) || !h.Contains(cz, b) {
 				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLookupsOutOfRange: node IDs outside the leaf table — negative,
+// past the largest member, or far beyond — read as non-members.
+func TestLookupsOutOfRange(t *testing.T) {
+	h := threeLevel(t)
+	for _, n := range []topology.NodeID{-1, -1000, 11, 12, 1 << 30} {
+		if z := h.LeafZone(n); z != NoZone {
+			t.Errorf("LeafZone(%d) = %d, want NoZone", n, z)
+		}
+		if h.Contains(h.Root(), n) {
+			t.Errorf("Contains(root, %d) = true, want false", n)
+		}
+		if chain := h.ZonesOf(n); chain != nil {
+			t.Errorf("ZonesOf(%d) = %v, want nil", n, chain)
+		}
+		if z := h.CommonZone(0, n); z != NoZone {
+			t.Errorf("CommonZone(0, %d) = %d, want NoZone", n, z)
+		}
+	}
+}
+
+// Property: on random zone trees where some nodes are not members,
+// CrossedZones returns exactly the zones containing one of the two
+// nodes, and CommonZone the deepest zone containing both.
+func TestCrossedZonesMatchesContains(t *testing.T) {
+	f := func(seed uint64, zRaw, nRaw uint8) bool {
+		rng := rand.New(rand.NewPCG(seed, 14))
+		zones := int(zRaw%12) + 1
+		nodes := int(nRaw%30) + 2
+		specs := []topology.ZoneSpec{{ID: 0, Parent: -1}}
+		for z := 1; z < zones; z++ {
+			specs = append(specs, topology.ZoneSpec{ID: z, Parent: rng.IntN(z)})
+		}
+		for n := 0; n < nodes; n++ {
+			if rng.IntN(4) > 0 { // a quarter of the nodes are routers
+				z := rng.IntN(zones)
+				specs[z].Leaves = append(specs[z].Leaves, topology.NodeID(n))
+			}
+		}
+		h := MustBuild(specs)
+		for a := topology.NodeID(0); int(a) < nodes; a++ {
+			for b := topology.NodeID(0); int(b) < nodes; b++ {
+				got, lca := h.CrossedZones(nil, a, b)
+				slices.Sort(got)
+				var want []ZoneID
+				common := NoZone
+				for z := ZoneID(0); int(z) < zones; z++ {
+					inA, inB := h.Contains(z, a), h.Contains(z, b)
+					if inA != inB {
+						want = append(want, z)
+					}
+					if inA && inB && (common == NoZone || h.Level(z) > h.Level(common)) {
+						common = z
+					}
+				}
+				if !slices.Equal(got, want) || lca != common || h.CommonZone(a, b) != common {
+					t.Logf("nodes %d,%d: crossed %v lca %d, want %v lca %d", a, b, got, lca, want, common)
+					return false
+				}
 			}
 		}
 		return true

@@ -25,6 +25,7 @@
 package census
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -238,21 +239,30 @@ func New(reg *telemetry.Registry, h *scoping.Hierarchy, numNodes int) *Engine {
 }
 
 // BindLinks arms the per-link traffic matrices for graph g and
-// precomputes, for every link, the set of zones whose boundary the link
-// crosses (exactly one endpoint is a member). The hop tap walks that
-// static slice, so boundary attribution stays allocation-free.
+// precomputes, for every link, the zones whose boundary the link
+// crosses (exactly one endpoint is a member), sorted by zone ID. The
+// hop tap walks that static slice, so boundary attribution stays
+// allocation-free. Each row comes from one walk up the endpoints' zone
+// chains to their lowest common zone, so the bind costs O(links ×
+// depth); the rows share one backing array, sized by a counting pass.
 func (e *Engine) BindLinks(g *topology.Graph) {
-	e.links = make([]linkCensus, g.NumLinks())
-	e.boundary = make([][]scoping.ZoneID, g.NumLinks())
-	for li := 0; li < g.NumLinks(); li++ {
+	n := g.NumLinks()
+	e.links = make([]linkCensus, n)
+	e.boundary = make([][]scoping.ZoneID, n)
+	total := 0
+	var row []scoping.ZoneID
+	for li := 0; li < n; li++ {
 		l := g.Link(li)
-		var crossed []scoping.ZoneID
-		for z := 0; z < e.h.NumZones(); z++ {
-			zone := scoping.ZoneID(z)
-			if e.h.Contains(zone, l.A) != e.h.Contains(zone, l.B) {
-				crossed = append(crossed, zone)
-			}
-		}
+		row, _ = e.h.CrossedZones(row[:0], l.A, l.B)
+		total += len(row)
+	}
+	flat := make([]scoping.ZoneID, 0, total)
+	for li := 0; li < n; li++ {
+		l := g.Link(li)
+		start := len(flat)
+		flat, _ = e.h.CrossedZones(flat, l.A, l.B)
+		crossed := flat[start:len(flat):len(flat)]
+		slices.Sort(crossed)
 		e.boundary[li] = crossed
 	}
 }

@@ -1,6 +1,9 @@
 package census
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"sync"
 	"testing"
 
@@ -254,5 +257,85 @@ func TestIngestZeroAlloc(t *testing.T) {
 		sink(ev)
 	}); avg != 0 {
 		t.Fatalf("ingest allocates %v per op, want 0", avg)
+	}
+}
+
+// routersAcrossBoundaries is a hand-built spec whose non-member routers
+// (1, 2, 5) sit on both sides of zone boundaries, with zone IDs listed
+// child-before-parent so a row's leaf-upward walk order differs from
+// its sorted order:
+//
+//	Z1 (root) {0} — Z2 {3} — Z0 {4}, Z4 {6}
+//	              \ Z3 {7}
+func routersAcrossBoundaries() *topology.Spec {
+	g := topology.New(8)
+	for _, l := range [][2]topology.NodeID{
+		{0, 1}, // member–router: crosses the root
+		{1, 2}, // router–router: crosses nothing
+		{2, 3}, // router–member: crosses the member's whole chain
+		{3, 4}, // parent–child zone
+		{4, 5}, // deep member–router
+		{5, 6},
+		{3, 7}, // sibling zones under the root
+		{2, 6}, // router–deep member
+		{4, 6}, // cousins below Z2
+	} {
+		g.AddLink(l[0], l[1], 10e6, 0.010, 0)
+	}
+	return &topology.Spec{
+		Graph:     g,
+		Source:    0,
+		Receivers: []topology.NodeID{3, 4, 6, 7},
+		Zones: []topology.ZoneSpec{
+			{ID: 10, Parent: 12, Leaves: []topology.NodeID{4}},
+			{ID: 11, Parent: -1, Leaves: []topology.NodeID{0}},
+			{ID: 12, Parent: 11, Leaves: []topology.NodeID{3}},
+			{ID: 13, Parent: 11, Leaves: []topology.NodeID{7}},
+			{ID: 14, Parent: 12, Leaves: []topology.NodeID{6}},
+		},
+	}
+}
+
+// TestBindLinksMatchesBruteForce checks the crossed-zones table against
+// its definition — every zone containing exactly one endpoint, in zone
+// ID order — over every link and every zone of each spec.
+func TestBindLinksMatchesBruteForce(t *testing.T) {
+	specs := map[string]*topology.Spec{
+		"figure10": topology.Figure10(topology.Figure10Params{}),
+		"national-4x4x4x2": topology.National(topology.NationalParams{
+			Regions: 4, Cities: 4, Suburbs: 4, SubscribersPerSuburb: 2,
+		}, 10e6, 0.010, 0),
+		"powerlaw": topology.PowerLawISP(topology.PowerLawParams{Subscribers: 512, Seed: 3}),
+		"flat":     topology.FlatFanout(topology.FlatParams{Routers: 6, ReceiversPerRouter: 20}),
+		"routers":  routersAcrossBoundaries(),
+	}
+	for seed := uint64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewPCG(seed, 14))
+		specs[fmt.Sprintf("random-tree-%d", seed)] = topology.RandomTree(rng, 30+rng.IntN(40), 1+rng.IntN(4), 0, 0)
+	}
+	for name, spec := range specs {
+		h, err := scoping.Build(spec.Zones)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		e := New(telemetry.NewRegistry(), h, spec.Graph.NumNodes())
+		e.BindLinks(spec.Graph)
+		crossings := 0
+		for li := 0; li < spec.Graph.NumLinks(); li++ {
+			l := spec.Graph.Link(li)
+			var want []scoping.ZoneID
+			for z := 0; z < h.NumZones(); z++ {
+				if h.Contains(scoping.ZoneID(z), l.A) != h.Contains(scoping.ZoneID(z), l.B) {
+					want = append(want, scoping.ZoneID(z))
+				}
+			}
+			if got := e.boundary[li]; !slices.Equal(got, want) {
+				t.Errorf("%s: link %d (%d–%d) crosses %v, want %v", name, li, l.A, l.B, got, want)
+			}
+			crossings += len(want)
+		}
+		if crossings == 0 {
+			t.Errorf("%s: no link crosses any boundary; the spec checks nothing", name)
+		}
 	}
 }
