@@ -17,6 +17,12 @@
 // must never regress at all (an alloc on a zero-alloc path is a bug, not
 // noise). Benchmarks present in only one file are reported but not
 // gated, so adding or retiring benchmarks never breaks the gate.
+//
+// A summary records the host it was measured on: the CPU model from
+// the `cpu:` header line and GOMAXPROCS from the `-N` suffix `go test`
+// appends to benchmark names (no suffix means 1). Compare warns when
+// the two reports ran at different GOMAXPROCS, since wall-clock
+// numbers from different core counts do not compare.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -44,6 +51,8 @@ type Result struct {
 type Report struct {
 	GOOS       string            `json:"goos"`
 	GOARCH     string            `json:"goarch"`
+	CPU        string            `json:"cpu,omitempty"`
+	GOMAXPROCS int               `json:"gomaxprocs,omitempty"`
 	Note       string            `json:"note,omitempty"`
 	Benchmarks map[string]Result `json:"benchmarks"`
 	// Speedups records, for every benchmark family with shards=K
@@ -97,20 +106,33 @@ func fatal(msg string) {
 // benchLine matches one `go test -bench` result line, e.g.
 //
 //	BenchmarkFECEncode-8   36489   29361 ns/op   544.93 MB/s   4224 B/op   2 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([\d.]+) ns/op(.*)$`)
 
-func summarize(r *os.File, note string) (*Report, error) {
+func summarize(r io.Reader, note string) (*Report, error) {
 	samples := map[string][]Result{}
+	cpu, procs := "", 0
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
+		if model, ok := strings.CutPrefix(sc.Text(), "cpu: "); ok {
+			cpu = strings.TrimSpace(model)
+			continue
+		}
 		m := benchLine.FindStringSubmatch(sc.Text())
 		if m == nil {
 			continue
 		}
+		p := 1
+		if m[2] != "" {
+			p, _ = strconv.Atoi(m[2])
+		}
+		if procs != 0 && p != procs {
+			return nil, fmt.Errorf("%s ran at GOMAXPROCS %d, earlier lines at %d; summarize one -cpu value at a time", m[1], p, procs)
+		}
+		procs = p
 		res := Result{Runs: 1}
-		res.NsPerOp, _ = strconv.ParseFloat(m[3], 64)
-		for _, metric := range strings.Split(m[4], "\t") {
+		res.NsPerOp, _ = strconv.ParseFloat(m[4], 64)
+		for _, metric := range strings.Split(m[5], "\t") {
 			fields := strings.Fields(metric)
 			if len(fields) != 2 {
 				continue
@@ -135,7 +157,7 @@ func summarize(r *os.File, note string) (*Report, error) {
 		return nil, fmt.Errorf("no benchmark lines found on stdin")
 	}
 	rep := &Report{
-		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, Note: note,
+		GOOS: runtime.GOOS, GOARCH: runtime.GOARCH, CPU: cpu, GOMAXPROCS: procs, Note: note,
 		Benchmarks: make(map[string]Result, len(samples)),
 	}
 	for name, runs := range samples {
@@ -212,6 +234,9 @@ func compareReports(basePath, curPath string, threshold float64, gatePat string)
 	if err != nil {
 		return fmt.Errorf("bad -gate pattern: %w", err)
 	}
+	if w := hostWarning(base, cur); w != "" {
+		fmt.Println(w)
+	}
 
 	names := make([]string, 0, len(cur.Benchmarks))
 	for name := range cur.Benchmarks {
@@ -249,4 +274,21 @@ func compareReports(basePath, curPath string, threshold float64, gatePat string)
 	}
 	fmt.Println("regression gate passed")
 	return nil
+}
+
+// hostWarning describes a GOMAXPROCS mismatch between two reports, or
+// returns "" when they match. A report written before the field
+// existed reads as "unrecorded".
+func hostWarning(base, cur *Report) string {
+	if base.GOMAXPROCS == cur.GOMAXPROCS {
+		return ""
+	}
+	procs := func(r *Report) string {
+		if r.GOMAXPROCS == 0 {
+			return "unrecorded"
+		}
+		return strconv.Itoa(r.GOMAXPROCS)
+	}
+	return fmt.Sprintf("warning: GOMAXPROCS differs (baseline %s, current %s); wall-clock deltas compare different core counts",
+		procs(base), procs(cur))
 }
