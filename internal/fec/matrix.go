@@ -58,14 +58,12 @@ func (m *matrix) mul(o *matrix) *matrix {
 		panic(fmt.Sprintf("fec: matrix size mismatch %dx%d × %dx%d", m.rows, m.cols, o.rows, o.cols))
 	}
 	out := newMatrix(m.rows, o.cols)
+	orows := make([][]byte, o.rows)
+	for l := range orows {
+		orows[l] = o.row(l)
+	}
 	for i := 0; i < m.rows; i++ {
-		mrow := m.row(i)
-		orow := out.row(i)
-		for l, c := range mrow {
-			if c != 0 {
-				addMulSlice(orow, o.row(l), c)
-			}
-		}
+		addMulRows(out.row(i), orows, m.row(i))
 	}
 	return out
 }
